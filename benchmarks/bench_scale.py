@@ -13,8 +13,9 @@ measures what that buys:
   and over classic object-backed engines (counters re-seeded so whole
   ``Decision`` objects compare equal): decisions, provenance, per-shard
   audit order and tracker timelines must match exactly, with zero
-  vector-sweep fallbacks on either side (any store-only fallback would
-  show up as an asymmetry).  The bulk loader
+  vector-sweep fallbacks on the columnar side (object-backed engines
+  have no sweep: their batches take the scalar loop and count no
+  fallbacks).  The bulk loader
   (:meth:`~repro.rbac.engine.AccessControlEngine.open_sessions`) is
   verified against scalar ``authenticate``+``activate_role`` the same
   way.
@@ -25,7 +26,8 @@ measures what that buys:
 * **throughput at scale** — the diurnal Zipf stream is driven through
   the micro-batched :class:`~repro.service.DecisionService`; the same
   small-session workload PR-6 benchmarks (64 hot sessions) is then run
-  store-on vs store-off, and the store must stay within 0.9x.
+  store-on (columnar sweep) vs store-off (scalar loop), and the store
+  must stay within 0.9x.
 
 Run:  python benchmarks/bench_scale.py [--smoke]
 Emits benchmarks/artifacts/BENCH_scale.json.

@@ -1,23 +1,25 @@
-"""EXP-VEC — the vectorized compiled decision core.
+"""EXP-VEC — the columnar decision sweep.
 
 A coalition server's steady state is a long stream of decisions over a
 fixed policy: the same (access, candidate) spatial verdicts, the same
 piecewise-constant validity functions, evaluated one interpreted
-Python decision at a time.  The vectorized sweep
-(:mod:`repro.rbac.vector_engine` over :mod:`repro.srac.compiled`)
-lowers that loop onto dense transition tables and breakpoint arrays:
+Python decision at a time.  The columnar sweep
+(:mod:`repro.rbac.vector_engine` over :mod:`repro.srac.compiled` and
+the session store's columns) decides a whole batch with column
+gathers into dense transition tables and tracker cells:
 
 * **naive** — the pre-batch hot path: one :meth:`decide` call per
   request (warm caches, incremental mode);
 * **scalar batch** — :meth:`decide_batch` with the vector path
   disabled: the scalar loop with the candidate lookup hoisted per
   distinct access (this PR's scalar regression fix);
-* **vector batch** — :meth:`decide_batch` on the compiled tables:
-  one gather per (access, candidate), one ``searchsorted`` per
-  (candidate, group), memoised ``Decision`` prototypes, per-request
-  cost = one clone;
+* **vector batch** — :meth:`decide_batch` through the sweep: a
+  memoised plan per (role set, access), one gather per monitor and
+  tracker column, closed-form state codes, memoised ``Decision``
+  prototypes; per-request cost = a plan lookup and one clone;
 * **multi-session sweep** — :meth:`decide_batch_many` over an
-  interleaved stream from many sessions (the sharded drain shape).
+  interleaved stream from many sessions (the sharded drain shape),
+  decided by the same sweep.
 
 Before any number is reported, scalar and vector engines replay
 mixed grant/deny/expiry workloads — including decisions exactly at a

@@ -280,7 +280,7 @@ def exp_cache() -> None:
 
 
 def exp_vec() -> None:
-    header("EXP-VEC  vectorized compiled decision core")
+    header("EXP-VEC  columnar decision sweep")
     from bench_vector_engine import (
         ARTIFACT,
         check_acceptance,

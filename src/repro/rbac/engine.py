@@ -42,7 +42,12 @@ from repro.srac.monitors import CompiledConstraint, compile_constraint
 from repro.srac.printer import unparse_constraint
 from repro.srac.reachability import CacheStats, cache_stats, live_set
 from repro.temporal.aggregation import PermissionClassifier
-from repro.temporal.validity import PermissionState, Scheme, ValidityTracker
+from repro.temporal.validity import (
+    PermissionState,
+    Scheme,
+    ValidityTracker,
+    require_finite_time,
+)
 from repro.traces.trace import AccessKey, Trace
 
 __all__ = [
@@ -262,11 +267,13 @@ class AccessControlEngine:
         ``benchmarks/bench_decision_cache.py``.  Decisions are
         bit-identical either way (property-tested).
     use_vector_batches:
-        Enable the table-driven vectorized sweep
-        (:mod:`repro.rbac.vector_engine`) on :meth:`decide_batch` and
-        :meth:`decide_batch_many` (the default).  ``False`` forces the
-        scalar per-request loop — kept as the differential baseline of
-        ``tests/test_vector_engine.py`` and
+        Decide incremental batches — :meth:`decide_batch`,
+        :meth:`decide_batch_many` and the service's drained
+        micro-batches — with the columnar sweep
+        (:mod:`repro.rbac.vector_engine`) over the session store (the
+        default; object-backed engines have no sweep).  ``False``
+        forces the scalar per-request loop — kept as the differential
+        baseline of ``tests/test_vector_engine.py`` and
         ``benchmarks/bench_vector_engine.py``.  Decisions and
         provenance are bit-identical either way (property-tested).
     use_session_store:
@@ -360,6 +367,9 @@ class AccessControlEngine:
         self._extension_tables: dict[
             tuple[Constraint, AccessKey], "TransitionTable | None"
         ] = {}
+        # The columnar sweep's plan memo (repro.rbac.vector_engine),
+        # built on the first swept batch.
+        self._plans = None
         self._candidate_hits = 0
         self._candidate_misses = 0
         self._live_hits = 0
@@ -818,8 +828,10 @@ class AccessControlEngine:
         Every decision carries a
         :class:`~repro.obs.provenance.DecisionProvenance` explain
         record; denials always name the failing SRAC clause or the
-        Eq. 4.1 temporal state.
+        Eq. 4.1 temporal state.  A NaN or infinite ``t`` raises
+        :class:`~repro.errors.TemporalError` before any state changes.
         """
+        require_finite_time(t)
         obs_on = OBS.enabled
         start = 0.0
         if obs_on:
@@ -1033,42 +1045,38 @@ class AccessControlEngine:
         next request is decided, modelling a client that performs each
         access it is granted.
 
-        Incremental batches take the **vectorized sweep**
-        (:mod:`repro.rbac.vector_engine`) when ``use_vector_batches``
-        is on: decisions and provenance are bit-identical to the
-        scalar loop (property-tested), only faster.  Batches the sweep
-        cannot handle — explicit history, disclosed program,
-        ``observe_granted``, owner scope, products over the table
-        budget, non-monotone time — fall back to the scalar loop,
-        which itself hoists the candidate lookup per distinct access.
+        Incremental batches on a columnar engine take the **columnar
+        sweep** (:mod:`repro.rbac.vector_engine`) when
+        ``use_vector_batches`` is on: decisions and provenance are
+        bit-identical to the scalar loop (property-tested), only
+        faster.  Batches the sweep cannot decide — explicit history,
+        disclosed program, ``observe_granted``, owner scope, products
+        over the table budget, instants that run backwards — take the
+        scalar loop, which itself hoists the candidate lookup per
+        distinct access.  Object-backed engines always take the scalar
+        loop.  A NaN or infinite instant raises
+        :class:`~repro.errors.TemporalError` before anything is decided.
         """
         keys = [
             a if type(a) is AccessKey else AccessKey(*a) for a in accesses
         ]
+        if not keys:
+            return []
         # Same float sequence as `clock += dt` accumulation, at C speed.
         times: list[float] = list(
-            itertools.accumulate(
-                itertools.repeat(dt, len(keys) - 1), initial=t
-            )
-        ) if keys else []
-        if keys and self.use_vector_batches:
-            prepared = None
-            if (
-                history is None
-                and program is None
-                and not observe_granted
-                and dt >= 0
-            ):
-                from repro.rbac.vector_engine import (
-                    commit_sweep,
-                    prepare_sweep,
-                )
+            itertools.accumulate(itertools.repeat(dt, len(keys) - 1), initial=t)
+        )
+        for instant in (t, dt, times[-1]):
+            require_finite_time(instant)
+        if self.use_vector_batches and self._store is not None:
+            if history is None and program is None and not observe_granted:
+                from repro.rbac.vector_engine import sweep
 
-                prepared = prepare_sweep(self, session, keys, times)
-            if prepared is not None:
-                self._vector_decisions += len(keys)
-                return commit_sweep(prepared)
-            self._vector_fallbacks += len(keys)
+                swept = sweep(self, session, keys, times)
+                if swept is not None:
+                    return swept
+            else:
+                self._vector_fallbacks += len(keys)
         decisions: list[Decision] = []
         obs_on = OBS.enabled
         if program is not None:
@@ -1116,13 +1124,14 @@ class AccessControlEngine:
         clock).  Incremental mode only (each session's own observed
         history, no program).
 
-        The stream is regrouped per session and swept with the
-        vectorized path; validity-tracker effects are per-session, so
-        regrouping cannot change any verdict, and the audit log still
-        receives the decisions in global stream order.  If any
-        session's subsequence is ineligible the *whole* stream falls
-        back to the scalar loop, so decisions are identical either
-        way.
+        On a columnar engine the stream is decided by one columnar
+        sweep (:mod:`repro.rbac.vector_engine`); validity-tracker
+        effects are per session, so only each session's own instants
+        need be nondecreasing, and the audit log receives the decisions
+        in stream order.  If the sweep cannot decide the stream, the
+        *whole* stream takes the scalar loop, so decisions are
+        identical either way.  A NaN or infinite instant raises
+        :class:`~repro.errors.TemporalError` before anything is decided.
         """
         pairs = [
             (session, a if type(a) is AccessKey else AccessKey(*a))
@@ -1134,52 +1143,29 @@ class AccessControlEngine:
                     itertools.repeat(dt, len(pairs) - 1), initial=t
                 )
             ) if pairs else []
+            checked = (t, dt, times[-1]) if pairs else ()
         else:
             times = list(times)
             if len(times) != len(pairs):
                 raise RbacError(
                     f"times has {len(times)} entries for {len(pairs)} requests"
                 )
-        monotone = all(b >= a for a, b in zip(times, times[1:]))
-        if pairs and self.use_vector_batches:
-            prepared = None
-            if monotone:
-                from repro.rbac.vector_engine import (
-                    commit_sweep,
-                    prepare_sweep,
-                )
+            checked = times
+        for instant in checked:
+            require_finite_time(instant)
+        if not pairs:
+            return []
+        if self.use_vector_batches and self._store is not None:
+            from repro.rbac.vector_engine import sweep
 
-                by_session: dict[int, tuple[Session, list[int]]] = {}
-                for i, (session, _access) in enumerate(pairs):
-                    entry = by_session.get(id(session))
-                    if entry is None:
-                        by_session[id(session)] = (session, [i])
-                    else:
-                        entry[1].append(i)
-                prepared = []
-                for session, indices in by_session.values():
-                    prep = prepare_sweep(
-                        self,
-                        session,
-                        [pairs[i][1] for i in indices],
-                        [times[i] for i in indices],
-                    )
-                    if prep is None:
-                        prepared = None
-                        break
-                    prepared.append((prep, indices))
-            if prepared is not None:
-                decisions: list[Decision] = [None] * len(pairs)  # type: ignore[list-item]
-                granted = 0
-                for prep, indices in prepared:
-                    swept = commit_sweep(prep, record_audit=False)
-                    granted += prep.granted
-                    for local, i in enumerate(indices):
-                        decisions[i] = swept[local]
-                self.audit.record_many(decisions, granted=granted)
-                self._vector_decisions += len(pairs)
-                return decisions
-            self._vector_fallbacks += len(pairs)
+            swept = sweep(
+                self,
+                [session for session, _access in pairs],
+                [access for _session, access in pairs],
+                times,
+            )
+            if swept is not None:
+                return swept
         out: list[Decision] = []
         obs_on = OBS.enabled
         memo: dict[
@@ -1343,6 +1329,7 @@ class AccessControlEngine:
         self._candidates_cache.clear()
         self._extension_cache.clear()
         self._extension_tables.clear()
+        self._plans = None
         self._owner_monitors.clear()
         if self._store is not None:
             self._store.clear_all_monitor_states()
@@ -1360,7 +1347,15 @@ class AccessControlEngine:
         active-role set, access): role activation changes the key, and
         policy mutations bump the version, so stale entries are never
         served."""
-        key = (self.policy.version, session.role_set(), access)
+        return self._candidates_of(session.role_set(), access)
+
+    def _candidates_of(
+        self, roles: frozenset, access: AccessKey
+    ) -> tuple[tuple[Role, Permission], ...]:
+        """:meth:`_candidates` for an active-role set (the columnar
+        sweep resolves candidates per interned role set, not per
+        session)."""
+        key = (self.policy.version, roles, access)
         cached = self._candidates_cache.get(key)
         if cached is not None:
             self._candidate_hits += 1
@@ -1368,7 +1363,7 @@ class AccessControlEngine:
         self._candidate_misses += 1
         out: list[tuple[Role, Permission]] = []
         seen: set[str] = set()
-        for role in sorted(session.active_roles, key=lambda r: r.name):
+        for role in sorted(roles, key=lambda r: r.name):
             for permission in sorted(
                 self.policy.permissions_of_role(role), key=lambda p: p.name
             ):

@@ -64,13 +64,7 @@ import numpy as np
 from repro.errors import RbacError, TemporalError
 from repro.rbac.model import Role, Subject, User
 from repro.temporal.timeline import BooleanTimeline, TimelineRecorder
-from repro.temporal.validity import (
-    CODE_ACTIVE_INVALID,
-    CODE_INACTIVE,
-    CODE_VALID,
-    PermissionState,
-    Scheme,
-)
+from repro.temporal.validity import PermissionState, Scheme
 from repro.traces.trace import AccessKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,6 +125,15 @@ class _Arena:
         self.data[index] = value
         self.count = index + 1
         return index
+
+    def extend(self, values) -> int:
+        """Append ``values``; returns the index of the first one."""
+        values = np.asarray(values, dtype=self.data.dtype)
+        start = self.count
+        self._ensure(values.size)
+        self.data[start : start + values.size] = values
+        self.count = start + values.size
+        return start
 
 
 class _TrackerColumns:
@@ -206,6 +209,15 @@ class _TrackerColumns:
             self.ev_gen.append(gen)
             self.ev_time.append(t)
             self.ev_kind.append(kind)
+
+    def record_block(
+        self, rows: np.ndarray, gens: np.ndarray, kind: int, times: np.ndarray
+    ) -> None:
+        if self.record_events:
+            self.ev_row.extend(rows)
+            self.ev_gen.extend(gens)
+            self.ev_time.extend(times)
+            self.ev_kind.extend(np.full(rows.size, kind, dtype=np.int8))
 
     def replay(self, row: int, gen: int) -> tuple[TimelineRecorder, TimelineRecorder]:
         """Re-run this row's recorded events through fresh recorders —
@@ -400,38 +412,6 @@ class ColumnTracker:
         if math.isinf(duration):
             return None
         return float(tc.expiry.data[row])
-
-    # -- compiled views (batched sweeps) ---------------------------------
-
-    def profile(self) -> tuple[bool, float]:
-        tc, row = self._tc, self._row
-        if not tc.active.data[row]:
-            return (False, math.inf)
-        if float(tc.consumed0.data[row]) >= self.duration:
-            return (True, -math.inf)
-        return (True, float(tc.expiry.data[row]))
-
-    def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        active, expiry = self.profile()
-        if not active:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([CODE_INACTIVE], dtype=np.uint8),
-            )
-        if math.isinf(expiry):
-            code = CODE_ACTIVE_INVALID if expiry < 0 else CODE_VALID
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([code], dtype=np.uint8),
-            )
-        return (
-            np.array([expiry], dtype=np.float64),
-            np.array([CODE_VALID, CODE_ACTIVE_INVALID], dtype=np.uint8),
-        )
-
-    def state_codes_at(self, ts: np.ndarray) -> np.ndarray:
-        times, codes = self.breakpoints()
-        return codes[np.searchsorted(times, ts, side="right")]
 
     # -- audit -----------------------------------------------------------
 
@@ -1260,13 +1240,47 @@ class SessionStore:
             math.inf if math.isinf(duration) else t + duration
         )
         tc.dur.data[rows] = code
-        if tc.record_events:
-            gens = self._gen.data[rows]
-            # Per-row replay order is active-on then valid-on at t —
-            # appending the whole active block first preserves it.
-            for kind in (_EV_ACTIVE_ON, _EV_VALID_ON):
-                for row, gen in zip(rows.tolist(), gens.tolist()):
-                    tc.ev_row.append(row)
-                    tc.ev_gen.append(gen)
-                    tc.ev_time.append(t)
-                    tc.ev_kind.append(kind)
+        gens = self._gen.data[rows]
+        at = np.full(rows.size, t, dtype=np.float64)
+        # Per-row replay order is active-on then valid-on at t —
+        # appending the whole active block first preserves it.
+        tc.record_block(rows, gens, _EV_ACTIVE_ON, at)
+        tc.record_block(rows, gens, _EV_VALID_ON, at)
+
+    def tracker_advance_block(
+        self, key: str, rows: np.ndarray, ts: np.ndarray, duration: float
+    ) -> None:
+        """Bulk ``state(t)`` advance of one tracker key — the columnar
+        sweep's commit.  ``rows`` are distinct and each is advanced to
+        its own ``ts`` (never behind the cell's clock).  Unallocated
+        cells are first created in the fresh inactive state
+        (``create_tracker`` with ``duration``); cells whose active
+        budget runs out by ``ts`` record their expiry switch at the
+        precomputed instant, exactly as
+        :meth:`ColumnTracker._advance` does one row at a time."""
+        tc = self._tracker_columns(key)
+        fresh = rows[tc.alloc.data[rows] == 0]
+        if fresh.size:
+            if duration <= 0:
+                raise TemporalError(
+                    f"validity duration must be positive, got {duration}"
+                )
+            start = self._start_time.data[fresh]
+            tc.alloc.data[fresh] = 1
+            tc.active.data[fresh] = 0
+            tc.anchor.data[fresh] = start
+            tc.consumed0.data[fresh] = 0.0
+            tc.expiry.data[fresh] = math.inf
+            tc.now.data[fresh] = start
+            tc.dur.data[fresh] = tc.dur_code(duration)
+        expiry = tc.expiry.data[rows]
+        cross = (tc.active.data[rows] != 0) & (ts >= expiry)
+        if cross.any():
+            crossed = rows[cross]
+            at = expiry[cross]
+            tc.record_block(crossed, self._gen.data[crossed], _EV_VALID_OFF, at)
+            durations = np.asarray(tc.durations, dtype=np.float64)
+            tc.consumed0.data[crossed] = durations[tc.dur.data[crossed]]
+            tc.anchor.data[crossed] = at
+            tc.expiry.data[crossed] = math.inf
+        tc.now.data[rows] = ts

@@ -39,6 +39,7 @@ concurrent-service benchmark uses it for its latency model).
 from __future__ import annotations
 
 import collections
+import numbers
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -46,7 +47,7 @@ from concurrent.futures import _base as _future_base
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, TemporalError
 from repro.faults.retry import RetryPolicy
 from repro.obs import OBS, RECORDER, REGISTRY
 from repro.rbac.audit import Decision
@@ -54,6 +55,7 @@ from repro.rbac.engine import Session
 from repro.rbac.vector_engine import sweep_interleaved
 from repro.service.sharding import ShardedEngine
 from repro.sral.ast import Program
+from repro.temporal.validity import require_finite_time
 from repro.traces.trace import AccessKey, Trace
 
 __all__ = ["DecisionService", "ServiceStats"]
@@ -64,8 +66,11 @@ __all__ = ["DecisionService", "ServiceStats"]
 REQUEST_SPAN_SAMPLE = 16
 
 #: A contiguous vector-eligible stretch shorter than this is decided by
-#: the scalar loop — ``prepare_sweep`` has per-session fixed costs that
-#: only pay off once a run actually amortises them.
+#: the scalar loop.  The columnar sweep pays a per-batch fixed cost —
+#: column gathers, the first-grant pass and the bulk commit, a few
+#: dozen numpy calls — that a lone request should not: on a 2-core x86
+#: host a 1-request sweep takes ~115 µs against ~20 µs for one scalar
+#: ``decide``.
 MIN_VECTOR_RUN = 2
 
 #: Decay of the per-shard drained-batch-size EWMA steering the
@@ -75,6 +80,24 @@ BATCH_EWMA_DECAY = 0.8
 #: Bucket bounds for the ``service.batch_size`` / ``queue_occupancy``
 #: histograms (requests per drain, not seconds).
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+#: Bucket bounds (seconds) for the ``service.queue_wait_s`` /
+#: ``decide_s`` / ``hook_s`` latency histograms: 10 µs to 3 s.
+LATENCY_BUCKETS = (
+    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0,
+)
+
+
+def _time_error(t) -> TemporalError | None:
+    """Admission check of a request's instant: NaN and ±inf are
+    refused with a :class:`~repro.errors.TemporalError`.  A value that
+    is not a number at all is left to the engine, which fails that
+    request alone."""
+    try:
+        require_finite_time(t)
+    except TemporalError as exc:
+        return exc if isinstance(t, numbers.Real) else None
+    return None
 
 
 # Future state constants (plain strings, stable since Python 3.2).
@@ -430,15 +453,21 @@ class DecisionService:
         # single striped-lock observe per event) — recorded only while
         # repro.obs is enabled.
         self._obs_queue_wait = [
-            REGISTRY.histogram("service.queue_wait_s", shard=str(i))
+            REGISTRY.histogram(
+                "service.queue_wait_s", buckets=LATENCY_BUCKETS, shard=str(i)
+            )
             for i in range(engine.shard_count)
         ]
         self._obs_decide = [
-            REGISTRY.histogram("service.decide_s", shard=str(i))
+            REGISTRY.histogram(
+                "service.decide_s", buckets=LATENCY_BUCKETS, shard=str(i)
+            )
             for i in range(engine.shard_count)
         ]
         self._obs_hook = [
-            REGISTRY.histogram("service.hook_s", shard=str(i))
+            REGISTRY.histogram(
+                "service.hook_s", buckets=LATENCY_BUCKETS, shard=str(i)
+            )
             for i in range(engine.shard_count)
         ]
         self._obs_batch_size = [
@@ -542,11 +571,23 @@ class DecisionService:
         ``observe_granted`` a granted access is fed back through
         :meth:`~repro.rbac.engine.AccessControlEngine.observe` in the
         same critical section (the executing-client pattern).
+
+        A NaN or infinite ``t`` is refused at the door: the returned
+        future fails with :class:`~repro.errors.TemporalError`, nothing
+        is queued and the request counts as ``rejected``.
         """
         if self._closed:
             raise ServiceError("service is shut down")
         index = self.engine.shard_of(session)
         future: Future[Decision] = _ShardFuture(self._future_conditions[index])
+        error = _time_error(t)
+        if error is not None:
+            future.set_exception(error)
+            with self._stats_lock:
+                self._rejected += 1
+            if OBS.enabled:
+                self._obs_rejected.inc()
+            return future
         item = (
             future,
             session,
@@ -612,7 +653,9 @@ class DecisionService:
         resolving **their own futures** with
         :class:`~repro.errors.ServiceError` — accepted requests in the
         same call proceed normally, and rejections count toward the
-        ``rejected`` stat exactly as for :meth:`submit`.
+        ``rejected`` stat exactly as for :meth:`submit`.  A request with
+        a NaN or infinite ``t`` is rejected the same way, its future
+        failing with :class:`~repro.errors.TemporalError`.
         """
         if self._closed:
             raise ServiceError("service is shut down")
@@ -621,10 +664,16 @@ class DecisionService:
         shard_of = self.engine.shard_of
         conditions = self._future_conditions
         per_shard: dict[int, list] = {}
+        refused = 0
         for session, access, t in requests:
             index = shard_of(session)
             future: Future[Decision] = _ShardFuture(conditions[index])
             futures.append(future)
+            error = _time_error(t)
+            if error is not None:
+                future.set_exception(error)
+                refused += 1
+                continue
             items = per_shard.get(index)
             if items is None:
                 items = per_shard[index] = []
@@ -641,7 +690,7 @@ class DecisionService:
                 )
             )
         with self._stats_lock:
-            self._submitted += len(futures)
+            self._submitted += len(futures) - refused
         rejected = 0
         for index, items in per_shard.items():
             accepted = self._queues[index].put_many(
@@ -657,12 +706,12 @@ class DecisionService:
                 )
                 for item in items[accepted:]:
                     item[0].set_exception(error)
-        if rejected:
+        if rejected or refused:
             with self._stats_lock:
                 self._submitted -= rejected
-                self._rejected += rejected
+                self._rejected += rejected + refused
             if OBS.enabled:
-                self._obs_rejected.inc(rejected)
+                self._obs_rejected.inc(rejected + refused)
         return futures
 
     # -- worker side ------------------------------------------------------------
@@ -912,8 +961,8 @@ class DecisionService:
             self._flush_run(shard, run, results)
 
     def _flush_run(self, shard, run: list, results: list) -> None:
-        """Dispatch one vector-eligible run: the batched sweep when it
-        is long enough and every session group prepares, the scalar
+        """Dispatch one vector-eligible run: the columnar sweep when it
+        is long enough and the sweep can decide it, the scalar
         per-request loop (with per-item exception isolation) otherwise."""
         if len(run) >= MIN_VECTOR_RUN:
             decisions = None

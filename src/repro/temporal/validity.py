@@ -25,24 +25,23 @@ and records the ``valid`` state function as a
 cross-checking against the declarative integral (tests do both).
 
 Between two events the tracker's state function is **piecewise
-constant with at most one breakpoint** (the expiry instant), so it can
-be *compiled* for batched decision sweeps: :meth:`ValidityTracker.profile`
-exposes the closed form and :meth:`ValidityTracker.breakpoints` the
-sorted-breakpoint-array view that
-:mod:`repro.rbac.vector_engine` resolves with ``np.searchsorted``.
-Accrual is itself closed-form — ``consumed(t) = consumed₀ + (t −
-anchor)`` against a precomputed expiry instant — so the scalar
-per-query path and the vectorized batched path evaluate the *same*
-floating-point expression and agree bit-for-bit, including exactly at
-the expiry boundary.
+constant with at most one breakpoint** (the expiry instant): for
+instants ``u >= now`` the state is ``INACTIVE`` when not active,
+``ACTIVE_INVALID`` when the budget is spent or ``u >= expiry``, and
+``VALID`` otherwise.  Accrual is itself closed-form — ``consumed(t) =
+consumed₀ + (t − anchor)`` against a precomputed expiry instant — so
+the columnar sweep (:mod:`repro.rbac.vector_engine`), which evaluates
+that closed form over the session store's tracker columns for a whole
+batch, makes the *same* floating-point comparisons as the scalar
+per-query path and agrees with it bit-for-bit, including exactly at
+the expiry boundary.  :data:`STATE_CODES` are the small-integer state
+encodings the sweep uses.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-
-import numpy as np
 
 from repro.errors import TemporalError
 from repro.temporal.timeline import BooleanTimeline, TimelineRecorder
@@ -55,6 +54,7 @@ __all__ = [
     "CODE_INACTIVE",
     "CODE_ACTIVE_INVALID",
     "CODE_VALID",
+    "require_finite_time",
 ]
 
 
@@ -76,6 +76,20 @@ STATE_CODES = (
     PermissionState.ACTIVE_INVALID,
     PermissionState.VALID,
 )
+
+
+def require_finite_time(t) -> None:
+    """Reject a NaN, infinite or non-numeric decision instant with
+    :class:`~repro.errors.TemporalError`.  Validity trackers compare
+    instants with ``<``/``>=``, which NaN silently passes and an
+    infinite instant would pin a tracker's clock beyond every later
+    request, so such instants are refused before any state moves."""
+    try:
+        finite = math.isfinite(t)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise TemporalError(f"decision time must be a finite number, got {t!r}")
 
 
 class Scheme(enum.Enum):
@@ -253,62 +267,6 @@ class ValidityTracker:
         if math.isinf(self.duration):
             return None
         return self._expiry
-
-    # -- compiled views (batched sweeps) -------------------------------------
-
-    def profile(self) -> tuple[bool, float]:
-        """The closed-form state function from now on, assuming no
-        further events: ``(active, expiry)``.
-
-        For query instants ``u >= now`` the state is ``INACTIVE`` when
-        not active, otherwise ``VALID`` for ``u < expiry`` and
-        ``ACTIVE_INVALID`` for ``u >= expiry`` — the *same* comparison
-        :meth:`state` performs, so a vectorized ``u >= expiry`` over a
-        float64 array is bit-identical to querying one instant at a
-        time.  Already-expired trackers report ``expiry = -inf``
-        (every query lands on ``ACTIVE_INVALID``); time-insensitive
-        ones report ``+inf``.  Read-only: does not advance the clock.
-        """
-        if not self._active:
-            return (False, math.inf)
-        if self._consumed0 >= self.duration:
-            return (True, -math.inf)
-        return (True, self._expiry)
-
-    def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """The state function from now on as sorted breakpoint arrays
-        ``(times, codes)``: the state at instant ``u`` is
-        ``codes[np.searchsorted(times, u, side="right")]`` (codes are
-        :data:`CODE_INACTIVE` / :data:`CODE_ACTIVE_INVALID` /
-        :data:`CODE_VALID`).  ``side="right"`` makes the lookup
-        equivalent to ``u >= expiry``, matching :meth:`state` exactly
-        at the boundary instant.  Read-only.
-        """
-        active, expiry = self.profile()
-        if not active:
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([CODE_INACTIVE], dtype=np.uint8),
-            )
-        if math.isinf(expiry):
-            code = CODE_ACTIVE_INVALID if expiry < 0 else CODE_VALID
-            return (
-                np.empty(0, dtype=np.float64),
-                np.array([code], dtype=np.uint8),
-            )
-        return (
-            np.array([expiry], dtype=np.float64),
-            np.array([CODE_VALID, CODE_ACTIVE_INVALID], dtype=np.uint8),
-        )
-
-    def state_codes_at(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`state` for a sorted batch of query instants
-        (all ``>= now``): returns a ``uint8`` array of state codes.
-        Read-only — callers advance the clock once afterwards with
-        ``state(ts[-1])``, which leaves the tracker exactly as a
-        per-instant query sequence would have (property-tested)."""
-        times, codes = self.breakpoints()
-        return codes[np.searchsorted(times, ts, side="right")]
 
     # -- audit ---------------------------------------------------------------
 

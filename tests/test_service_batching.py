@@ -423,6 +423,36 @@ class TestBatchObservability:
             == sum(row["count"] for row in occupancy_rows)
         )
 
+    def test_latency_histograms_have_buckets(self):
+        """Queue-wait, decide and hook latencies export a seconds-scale
+        distribution whose bucket counts sum to the observations."""
+        from repro import obs
+
+        obs.reset()
+        obs.enable()
+        try:
+            _engine, decisions, _stats = run_service(
+                max_batch=64, max_wait_s=0.001, post_decision_hook=lambda d: None
+            )
+            export = obs.export()
+        finally:
+            obs.disable()
+            obs.reset()
+        histograms = export["metrics"]["histograms"]
+        for name in ("queue_wait_s", "decide_s", "hook_s"):
+            rows = [
+                row for key, row in histograms.items()
+                if key.startswith(f"service.{name}{{") and row["count"]
+            ]
+            assert rows, name
+            for row in rows:
+                assert sum(row["buckets"].values()) == row["count"]
+        queue_waits = sum(
+            row["count"] for key, row in histograms.items()
+            if key.startswith("service.queue_wait_s{")
+        )
+        assert queue_waits == len(decisions)
+
 
 class TestBackpressure:
     def test_submit_many_nonblocking_rejects_overflow_per_future(self):

@@ -5,8 +5,10 @@ any eligible batch, the vector sweep must return exactly the decisions
 the scalar loop returns — same grants, same reasons, same
 :class:`~repro.obs.provenance.DecisionProvenance`, same audit order,
 and the same validity-tracker end state (including the recorded
-timelines).  Every test here runs the same workload through a
-vector-enabled and a vector-disabled engine and compares.
+timelines).  The tests run the same workload through a vector-enabled
+and a vector-disabled engine, or — for interleaved multi-session
+batches — through one columnar sweep and through per-request scalar
+``decide``, and compare.
 
 Ineligible batches must *fall back*, not fail: the fallback paths are
 driven both through configuration (owner scope, uncached SRAC,
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -407,26 +408,299 @@ class TestAuditRecordMany:
         assert log.grant_rate() == 0.0
 
 
-class TestStateCodes:
-    def test_state_codes_match_scalar_states(self):
-        """The read-only vectorized state query agrees with repeated
-        scalar queries at every instant, including breakpoints."""
-        from repro.temporal.validity import (
-            STATE_CODES,
-            ValidityTracker,
-        )
+# -- cross-session sweep -----------------------------------------------------
 
-        tracker = ValidityTracker(duration=3.0)
-        # Inactive tracker: every instant reads INACTIVE.
-        inactive = tracker.state_codes_at(np.array([0.0, 0.5]))
-        assert [STATE_CODES[c] for c in inactive.tolist()] == [
-            tracker.state(0.0),
-            tracker.state(0.5),
+#: Session profiles of the cross-session suite: active roles (``None``
+#: activates nothing) and activation instant.
+PROFILES = (
+    (("ra",), 0.0),
+    (("rb",), 0.0),
+    (("ra", "rb"), 0.5),
+    (("rc",), 0.0),
+    ((), 0.0),
+    (("ra", "rc"), 1.0),
+)
+
+
+def _cross_session_engine(c0, c1, d0, use_vector):
+    """Three roles over four permissions:
+
+    * ``p0`` (``exec r1``, constraint ``c0``, duration ``d0``) and
+      ``p1`` (any op on ``r1``, constraint ``c1``) on role ``ra``;
+    * ``p1`` and ``p2`` (``exec`` anything at ``s1``) share one
+      classifier tracker key, budget 3.0;
+    * ``p3`` (``read r2``, budget 2.0) is granted to ``rb`` only
+      after every session has activated its roles, so its tracker
+      cells stay unallocated until a request examines them.
+    """
+    from repro.temporal.aggregation import PermissionClass, PermissionClassifier
+
+    policy = Policy()
+    policy.add_user("u")
+    for role in ("ra", "rb", "rc"):
+        policy.add_role(role)
+        policy.assign_user("u", role)
+    policy.add_permission(
+        Permission(
+            "p0", op="exec", resource="r1", spatial_constraint=c0,
+            validity_duration=d0,
+        )
+    )
+    policy.add_permission(
+        Permission("p1", resource="r1", spatial_constraint=c1)
+    )
+    policy.add_permission(Permission("p2", op="exec", server="s1"))
+    policy.add_permission(
+        Permission("p3", op="read", resource="r2", validity_duration=2.0)
+    )
+    for role, permission in (
+        ("ra", "p0"), ("ra", "p1"), ("rb", "p1"), ("rb", "p2"), ("rc", "p2"),
+    ):
+        policy.assign_permission(role, permission)
+    classifier = PermissionClassifier(
+        [PermissionClass("shared", frozenset({"p1", "p2"}), duration=3.0)]
+    )
+    engine = AccessControlEngine(
+        policy, classifier=classifier, use_vector_batches=use_vector
+    )
+    sessions = []
+    for roles, at in PROFILES:
+        session = engine.authenticate("u", 0.0)
+        for role in roles:
+            engine.activate_role(session, role, at)
+        sessions.append(session)
+    policy.assign_permission("rb", "p3")
+    return engine, sessions
+
+
+class TestCrossSessionSweep:
+    """One columnar sweep over an interleaved multi-session batch must
+    equal per-request scalar ``decide``, bit for bit."""
+
+    @given(
+        c0=strategies.constraints(max_leaves=3),
+        c1=strategies.constraints(max_leaves=3),
+        d0=st.sampled_from([2.0, 4.0, float("inf")]),
+        observed=st.lists(
+            st.tuples(st.integers(0, len(PROFILES) - 1), strategies.access_keys()),
+            max_size=8,
+        ),
+        warm=st.lists(st.integers(0, len(PROFILES) - 1), max_size=3),
+        batch=st.lists(
+            st.tuples(
+                st.integers(0, len(PROFILES) - 1),
+                strategies.access_keys(),
+                st.sampled_from([0.0, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_interleaved_batch_matches_scalar_decide(
+        self, c0, c1, d0, observed, warm, batch
+    ):
+        vec, vec_sessions = _cross_session_engine(c0, c1, d0, True)
+        sc, sc_sessions = _cross_session_engine(c0, c1, d0, False)
+        for engine, sessions in ((vec, vec_sessions), (sc, sc_sessions)):
+            # History observed before any decision leaves its monitor
+            # cells uninitialised; a scalar warm-up initialises some.
+            for k, access in observed:
+                engine.observe(sessions[k], access)
+            for k in warm:
+                engine.decide(
+                    sessions[k], AccessKey("exec", "r1", "s2"), 1.0,
+                    history=None,
+                )
+        t = 1.0
+        times = []
+        for _k, _access, step in batch:
+            t += step
+            times.append(t)
+        got = vec.decide_batch_many(
+            [(vec_sessions[k], access) for k, access, _ in batch],
+            t=0.0,
+            times=times,
+        )
+        want = [
+            sc.decide(sc_sessions[k], access, when, history=None)
+            for (k, access, _), when in zip(batch, times)
         ]
-        tracker.activate(1.0)
-        # Contract: query instants are >= now; the probe includes the
-        # expiry breakpoint (activation 1.0 + duration 3.0 = 4.0).
-        probe = np.array([1.0, 2.0, 3.999, 4.0, 4.5, 9.0])
-        codes = tracker.state_codes_at(probe)
-        scalar_states = [tracker.state(float(t)) for t in probe]
-        assert [STATE_CODES[c] for c in codes.tolist()] == scalar_states
+        assert vec.cache_stats().vector_decisions == len(batch)
+        assert vec.cache_stats().vector_fallbacks == 0
+        assert [_norm(d) for d in got] == [_norm(d) for d in want]
+        assert [d.subject_id for d in got] == [
+            vec_sessions[k].subject.subject_id for k, _, _ in batch
+        ]
+        assert [_norm(d) for d in vec.audit] == [_norm(d) for d in sc.audit]
+        assert vec.cache_stats().live_hits == sc.cache_stats().live_hits
+        for v, s in zip(vec_sessions, sc_sessions):
+            assert v.last_seen == s.last_seen
+            assert set(v.trackers) == set(s.trackers)
+            for key, sc_tracker in s.trackers.items():
+                vec_tracker = v.trackers[key]
+                assert vec_tracker.now == sc_tracker.now
+                assert (
+                    vec_tracker.valid_timeline() == sc_tracker.valid_timeline()
+                )
+                assert (
+                    vec_tracker.state(sc_tracker.now)
+                    == sc_tracker.state(sc_tracker.now)
+                )
+
+    def test_expiry_crossed_and_hit_exactly_in_one_batch(self):
+        """Sessions whose budgets end at 2.0 and 3.0, probed before, at
+        and after each instant, in one interleaved batch."""
+        vec, vec_sessions = _cross_session_engine(None, None, 2.0, True)
+        sc, sc_sessions = _cross_session_engine(None, None, 2.0, False)
+        exec_r1 = AccessKey("exec", "r1", "s1")
+        read_r2 = AccessKey("read", "r2", "s2")
+        requests = [
+            (k, access, t)
+            for t in (1.5, 2.0, 2.5, 3.0, 3.5)
+            for k in (0, 1, 2, 5)
+            for access in (exec_r1, read_r2)
+        ]
+        got = vec.decide_batch_many(
+            [(vec_sessions[k], a) for k, a, _ in requests],
+            t=0.0,
+            times=[t for _, _, t in requests],
+        )
+        want = [
+            sc.decide(sc_sessions[k], a, t, history=None)
+            for k, a, t in requests
+        ]
+        assert vec.cache_stats().vector_fallbacks == 0
+        assert [_norm(d) for d in got] == [_norm(d) for d in want]
+        assert any(d.granted for d in got)
+        assert any(
+            d.provenance.kind == "temporal" for d in got if not d.granted
+        )
+        for v, s in zip(vec_sessions, sc_sessions):
+            for key, sc_tracker in s.trackers.items():
+                assert (
+                    v.trackers[key].valid_timeline()
+                    == sc_tracker.valid_timeline()
+                )
+
+    def test_uninitialised_cells_fold_history(self):
+        """Histories observed before any decision leave monitor cells
+        uninitialised; the sweep must fold them, not assume the
+        initial state (sessions 0 and 2 are past ``count(0, 3)``)."""
+        count = parse_constraint(COUNT_SRC)
+        vec, vec_sessions = _cross_session_engine(count, count, 9.0, True)
+        sc, sc_sessions = _cross_session_engine(count, count, 9.0, False)
+        exec_r1 = AccessKey("exec", "r1", "s2")
+        for engine, sessions in ((vec, vec_sessions), (sc, sc_sessions)):
+            for k, times in ((0, 4), (1, 4), (2, 3), (5, 1)):
+                for _ in range(times):
+                    engine.observe(sessions[k], exec_r1)
+        requests = [(k, exec_r1) for k in (0, 1, 2, 3, 5, 0, 2)]
+        got = vec.decide_batch_many(
+            [(vec_sessions[k], a) for k, a in requests], t=1.0, dt=0.5
+        )
+        want = [
+            sc.decide(sc_sessions[k], a, 1.0 + 0.5 * i, history=None)
+            for i, (k, a) in enumerate(requests)
+        ]
+        assert vec.cache_stats().vector_fallbacks == 0
+        assert [_norm(d) for d in got] == [_norm(d) for d in want]
+        assert [d.provenance.kind for d in got] == [
+            "spatial", "spatial", "spatial", "no-candidate", "granted",
+            "spatial", "spatial",
+        ]
+
+    def test_object_backed_engine_takes_scalar_loop(self):
+        """Without a session store there is no sweep: batches are
+        decided by the scalar loop and no fallback is counted."""
+        policy = Policy()
+        policy.add_user("u")
+        policy.add_role("r")
+        policy.add_permission(Permission("p", op="exec", resource="r1"))
+        policy.assign_user("u", "r")
+        policy.assign_permission("r", "p")
+        engine = AccessControlEngine(policy, use_session_store=False)
+        session = engine.authenticate("u", 0.0)
+        engine.activate_role(session, "r", 0.0)
+        decisions = engine.decide_batch(
+            session, [AccessKey("exec", "r1", "s1")] * 4, t=1.0, dt=1.0
+        )
+        assert all(d.granted for d in decisions)
+        stats = engine.cache_stats()
+        assert (stats.vector_decisions, stats.vector_fallbacks) == (0, 0)
+
+
+class TestNonFiniteTimes:
+    """NaN and ±inf instants fail closed with a typed error and leave
+    every session untouched."""
+
+    @staticmethod
+    def _policy():
+        policy = Policy()
+        policy.add_user("u")
+        policy.add_role("r")
+        policy.add_permission(
+            Permission("p", op="exec", resource="r1", validity_duration=5.0)
+        )
+        policy.assign_user("u", "r")
+        policy.assign_permission("r", "p")
+        return policy
+
+    def _engine(self, use_store):
+        engine = AccessControlEngine(
+            self._policy(), use_session_store=use_store
+        )
+        session = engine.authenticate("u", 0.0)
+        engine.activate_role(session, "r", 0.0)
+        return engine, session
+
+    @pytest.mark.parametrize("use_store", [True, False])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_engine_entry_points_reject(self, use_store, bad):
+        from repro.errors import TemporalError
+
+        engine, session = self._engine(use_store)
+        access = AccessKey("exec", "r1", "s1")
+        with pytest.raises(TemporalError):
+            engine.decide(session, access, bad, history=None)
+        with pytest.raises(TemporalError):
+            engine.decide_batch(session, [access] * 3, t=bad)
+        with pytest.raises(TemporalError):
+            engine.decide_batch(session, [access] * 3, t=1.0, dt=bad)
+        with pytest.raises(TemporalError):
+            engine.decide_batch_many([(session, access)] * 2, t=bad)
+        with pytest.raises(TemporalError):
+            engine.decide_batch_many(
+                [(session, access)] * 2, t=0.0, times=[1.0, bad]
+            )
+        # Nothing was decided or advanced: the session still decides.
+        assert len(engine.audit) == 0
+        assert session.last_seen == 0.0
+        assert engine.decide(session, access, 1.0, history=None).granted
+        assert not engine.decide(session, access, 6.0, history=None).granted
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_service_fails_only_the_offending_future(self, bad):
+        from repro.errors import TemporalError
+        from repro.service import DecisionService
+
+        engine = ShardedEngine(self._policy(), shards=2)
+        session = engine.authenticate("u", 0.0)
+        engine.activate_role(session, "r", 0.0)
+        access = AccessKey("exec", "r1", "s1")
+        with DecisionService(engine, workers=1, max_batch=16) as service:
+            single = service.submit(session, access, bad)
+            futures = service.submit_many(
+                [(session, access, 1.0), (session, access, bad),
+                 (session, access, 2.0)]
+            )
+            assert service.drain(timeout=30.0)
+            later = service.decide(session, access, 3.0)
+            stats = service.service_stats()
+        assert isinstance(single.exception(), TemporalError)
+        assert isinstance(futures[1].exception(), TemporalError)
+        assert futures[0].result().granted and futures[2].result().granted
+        assert later.granted
+        assert stats.rejected == 2
+        assert stats.errors == 0
+        assert stats.completed == stats.submitted == 3
